@@ -6,11 +6,12 @@ Run from the root of a checkout::
 
 ``--trace 0`` measures the end-to-end metrics with no instrumentation: the
 stack is set up several times (the median is ``setup_s``), then one pass
-drives the workload for ``--seconds`` of work and every output is verified
-outside the timed region.  ``--trace 1`` runs the same pass twice on fresh
-stacks, the second time with every layer wrapped by ``tracer.Tracer``, and
-reports the per-layer metrics plus the tracing overhead; the spans are
-written to ``.perfbench/trace-<workload>.npz``.
+drives the workload for ``--seconds`` of work, repeating one unit of work,
+and every output is verified outside the timed region.  Rates and
+percentiles are medians over the pass's units.  ``--trace 1`` runs the
+same pass twice on fresh stacks, the second time with every layer wrapped
+by ``tracer.Tracer``, and reports the per-layer metrics plus the tracing
+overhead; the spans are written to ``.perfbench/trace-<workload>.npz``.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before it
@@ -35,7 +36,7 @@ SCRATCH = ROOT / ".perfbench"
 #: BLAS/OpenMP pools stay single-threaded: with the serial server and router
 #: the process never runs more compute threads than the 2-core target has
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 
 
 def _commit() -> str:
@@ -50,13 +51,22 @@ def _commit() -> str:
     return target.read_text(encoding="ascii").strip() if target.is_file() else "unknown"
 
 
+def gaps(record) -> list:
+    """Inter-token gaps of one request; a one-shot request's is seconds per row."""
+    import numpy as np
+
+    if record.one_shot:
+        return [(record.times[-1] - record.sent) / record.tokens]
+    return list(np.diff(record.times[record.first :]))
+
+
 def _unit_metrics(records, seconds: float) -> dict:
     """Rates and percentiles of the requests of one measured unit."""
     import numpy as np
 
-    latencies = [r.latency_s for r in records]
-    ttfts = [r.ttft_s for r in records]
-    gaps = [gap for r in records for gap in r.gaps]
+    latencies = [r.times[-1] - r.sent for r in records]
+    ttfts = [r.times[r.first] - r.sent for r in records]
+    itls = [gap for r in records for gap in gaps(r)]
     return {
         "tokens_per_s": sum(r.tokens for r in records) / seconds,
         "edges_per_s": sum(r.edges for r in records) / seconds,
@@ -64,33 +74,32 @@ def _unit_metrics(records, seconds: float) -> dict:
         "latency_p90_ms": np.percentile(latencies, 90) * 1e3,
         "ttft_p50_ms": np.percentile(ttfts, 50) * 1e3,
         "ttft_p90_ms": np.percentile(ttfts, 90) * 1e3,
-        "itl_p50_ms": np.percentile(gaps, 50) * 1e3,
-        "itl_p99_ms": np.percentile(gaps, 99) * 1e3,
+        "itl_p50_ms": np.percentile(itls, 50) * 1e3,
+        "itl_p99_ms": np.percentile(itls, 99) * 1e3,
     }
 
 
-#: per-unit metrics: unit, and whether the best unit is the highest or lowest
+#: per-unit metrics and their units
 PER_UNIT = {
-    "tokens_per_s": ("tok/s", max),
-    "edges_per_s": ("edges/s", max),
-    "latency_p50_ms": ("ms", min),
-    "latency_p90_ms": ("ms", min),
-    "ttft_p50_ms": ("ms", min),
-    "ttft_p90_ms": ("ms", min),
-    "itl_p50_ms": ("ms", min),
-    "itl_p99_ms": ("ms", min),
+    "tokens_per_s": "tok/s",
+    "edges_per_s": "edges/s",
+    "latency_p50_ms": "ms",
+    "latency_p90_ms": "ms",
+    "ttft_p50_ms": "ms",
+    "ttft_p90_ms": "ms",
+    "itl_p50_ms": "ms",
+    "itl_p99_ms": "ms",
 }
 
 
 def end_to_end(result, setup_s: float, slo) -> dict:
     """Every end-to-end metric of ``BENCHMARK.json`` from one measured pass.
 
-    A pass repeats one unit of work (an epoch, a batch, a session) until its
-    time is up.  Rates and percentiles are taken per unit and each is
-    reported from the run's best unit: other tenants of a shared machine
-    only ever slow a unit down, and on a 2-core host their load moved
-    per-run medians by 20% while the best unit held still.  SLO attainment
-    counts every request sent, and a failed or refused request misses it.
+    A pass repeats one unit of work (an epoch, a job, a session) until its
+    time is up, and every unit sends the same requests.  Rates and
+    percentiles are taken per unit and each is reported as the median over
+    the units.  SLO attainment counts every request sent, and a failed or
+    refused request misses it.
     """
     done = [r for r in result.records if r.tokens]
     per_unit = [
@@ -101,21 +110,22 @@ def end_to_end(result, setup_s: float, slo) -> dict:
     ttft_limit, itl_limit = slo
     attained = sum(
         1
-        for r in result.records
+        for r in done
         if not r.failed
-        and r.ttft_s <= ttft_limit
-        and (not r.gaps or sum(r.gaps) / len(r.gaps) <= itl_limit)
+        and r.times[r.first] - r.sent <= ttft_limit
+        and (len(gaps(r)) == 0 or statistics.fmean(gaps(r)) <= itl_limit)
     )
     metrics = {"setup_s": {"value": setup_s, "unit": "s"}}
-    for name, (unit, best) in PER_UNIT.items():
-        metrics[name] = {"value": best(float(m[name]) for m in per_unit), "unit": unit}
+    for name, unit in PER_UNIT.items():
+        value = statistics.median(float(m[name]) for m in per_unit)
+        metrics[name] = {"value": value, "unit": unit}
     metrics["slo_attain_frac"] = {"value": attained / len(result.records), "unit": "ratio"}
     metrics["rss_peak_mib"] = {"value": result.rss_mib, "unit": "MiB"}
     samples = {
         "requests": len(result.records),
         "completed": len(done),
         "units": len(per_unit),
-        "itl_gaps": sum(len(r.gaps) for r in done),
+        "itl_gaps": sum(len(gaps(r)) for r in done),
     }
     return metrics, samples
 

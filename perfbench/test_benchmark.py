@@ -51,3 +51,23 @@ def test_every_expected_span_has_a_wrapper():
     wrapped = {target[0] for target in tracer.TARGETS}
     for name, spans in layers.SPANS.items():
         assert set(spans) <= wrapped, name
+
+
+def test_end_to_end_reports_the_median_over_units():
+    import run
+
+    # three units of one request each: sent at 0, first token at t, one more
+    # token 10 ms later; the units' TTFTs are 20, 40 and 30 ms
+    records = [
+        workloads.Record(0.0, [0.0, ttft, ttft + 0.01], 1, 3, 6, unit=unit)
+        for unit, ttft in enumerate((0.02, 0.04, 0.03))
+    ]
+    result = workloads.Pass(
+        unit_s=[0.1, 0.3, 0.2], busy_s=0.6, units=3, records=records, rss_mib=1.0
+    )
+    metrics, samples = run.end_to_end(result, 0.5, (0.035, 1.0))
+    assert metrics["ttft_p50_ms"]["value"] == pytest.approx(30.0)
+    assert metrics["tokens_per_s"]["value"] == pytest.approx(15.0)
+    assert metrics["itl_p50_ms"]["value"] == pytest.approx(10.0)
+    assert metrics["slo_attain_frac"]["value"] == pytest.approx(2 / 3)
+    assert samples["units"] == 3

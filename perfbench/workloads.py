@@ -1,4 +1,4 @@
-"""The benchmark's four workloads: seeded inputs, the stack each drives, and checks.
+"""The benchmark's three workloads: seeded inputs, the stack each drives, and checks.
 
 Each workload class generates its inputs from the seed alone (the program
 only ever receives the generated arrays and masks), builds a fresh serving
@@ -48,14 +48,18 @@ ROUNDOFF = 1e-5
 
 @dataclass
 class Record:
-    """One request as its sender saw it."""
+    """One request as its sender saw it: the host times of its events."""
 
-    latency_s: float
-    ttft_s: float
-    #: inter-token gaps of this request (one-shot requests: seconds per row)
-    gaps: List[float]
+    #: when the request was sent
+    sent: float
+    #: when each of its outputs arrived, in order
+    times: List[float]
+    #: index in ``times`` of the first generated token
+    first: int
     tokens: int
     edges: int
+    #: one output for the whole request: its inter-token gap is seconds per row
+    one_shot: bool = False
     failed: bool = False
     #: the unit of work (epoch, job or session) the request belongs to
     unit: int = 0
@@ -65,8 +69,9 @@ class Record:
 class Pass:
     """What one measured pass produced: the same unit of work, repeated.
 
-    ``run.py`` computes the end-to-end metrics per unit and reports each
-    from the best unit of the pass.
+    Every unit sends the same requests and gets the same outputs, so units
+    differ only in the time the host gave them; ``run.py`` computes the
+    end-to-end metrics per unit and reports the median over the units.
     """
 
     #: wall seconds of each measured unit
@@ -118,17 +123,6 @@ def replay(mask, q, k, v, prompt: int, storage: str) -> np.ndarray:
     return output
 
 
-def _stream_record(telemetry, times: List[float], tokens: int, edges: int, unit: int) -> Record:
-    return Record(
-        latency_s=telemetry.turnaround_seconds,
-        ttft_s=telemetry.ttft_seconds,
-        gaps=list(np.diff(times)) if len(times) > 1 else [],
-        tokens=tokens,
-        edges=edges,
-        unit=unit,
-    )
-
-
 class _EmitClock:
     """Stamps the host time of every generated token a scheduler emits."""
 
@@ -168,9 +162,11 @@ class LongCtx:
     """Local, Longformer, dilated Longformer and BigBird stacks at two lengths.
 
     Each epoch starts from an empty plan cache and sends every shape
-    ``REPEATS`` times in a seeded order, so one compile and two cached
-    serves per shape: the cold/cached mix stays fixed however many epochs
-    fit in the time budget.
+    ``REPEATS`` times in one seeded order, the same in every epoch, so one
+    compile and two cached serves per shape: the cold/cached mix stays
+    fixed however many epochs fit in the time budget.  An epoch's clock
+    runs only inside ``serve``: the benchmark's own digest of each output
+    is left out of its time.
     """
 
     name = "longctx"
@@ -227,15 +223,15 @@ class LongCtx:
         first: Dict[int, tuple] = {}
         repeats_differ = 0
         epochs: List[float] = []
+        order = np.random.default_rng([self.seed, 2]).permutation(
+            np.repeat(np.arange(len(self.shapes)), self.REPEATS)
+        )
         while (units is None and sum(epochs) < seconds) or (
             units is not None and len(epochs) < units
         ):
             epoch = len(epochs)
             epochs.append(0.0)
             server.cache.clear()
-            order = np.random.default_rng([self.seed, 2, epoch]).permutation(
-                np.repeat(np.arange(len(self.shapes)), self.REPEATS)
-            )
             for index in order:
                 shape = self.shapes[index]
                 request = AttentionRequest(q=shape.q, k=shape.k, v=shape.v, mask=shape.mask)
@@ -244,10 +240,11 @@ class LongCtx:
                 started = time.perf_counter()
                 [response] = server.serve([request])
                 latency = time.perf_counter() - started
+                sent = epochs[epoch]
                 epochs[epoch] += latency
                 rows = self.HEADS * shape.length
                 records.append(
-                    Record(latency, latency, [latency / rows], rows, shape.edges, unit=epoch)
+                    Record(sent, [epochs[epoch]], 0, rows, shape.edges, one_shot=True, unit=epoch)
                 )
                 digest = hashlib.blake2b(response.output.tobytes()).digest()
                 if index not in first:
@@ -378,12 +375,11 @@ class DecodeHeavy:
             outputs = []
             for (q, k, v, prompt), (chunks, times, sent) in zip(self.streams, received):
                 total = q.shape[-2]
-                decoded = times[prompt_chunks(chunks, prompt):]
                 records.append(
                     Record(
-                        latency_s=times[-1] - sent,
-                        ttft_s=decoded[0] - sent,
-                        gaps=list(np.diff(decoded)),
+                        sent=sent,
+                        times=times,
+                        first=prompt_chunks(chunks, prompt),
                         tokens=total,
                         edges=stream_edges(self.mask, total),
                         unit=job,
@@ -460,7 +456,10 @@ class Routed:
 
     The unit of work is a session: ``CLIENTS`` clients start together, each
     sends its next request as soon as its last one finishes, and the
-    session ends when ``SESSION`` requests have all come back.
+    session ends when ``SESSION`` requests have all come back.  Every
+    session sends the same seeded requests, so sessions differ only in the
+    time the host gave them: each request's first output is replayed after
+    the pass, and every later session must repeat it bit for bit.
 
     Speculative streams carry keys with a recency bias, so a narrowed draft
     window agrees with the full one on most tokens but not all: both the
@@ -514,7 +513,7 @@ class Routed:
             yield from self.request(index)[:3]
 
     def prepare(self) -> None:
-        pass
+        self.requests = [self.request(index) for index in range(self.SESSION)]
 
     def setup(self) -> ServingClient:
         compiled.reset_backend()
@@ -541,14 +540,24 @@ class Routed:
         for index, handle in enumerate(router.replicas):
             handle.scheduler.on_emit = emits.hook(index)
         records: List[Record] = []
-        checks: List[tuple] = []
+        #: request index of each record, and each request's first output and digest
+        indices: List[int] = []
+        first: Dict[int, tuple] = {}
         sessions: List[float] = []
         while (units is None and sum(sessions) < seconds) or (
             units is not None and len(sessions) < units
         ):
             started = time.perf_counter()
-            self._session(router, client, emits, records, checks, len(sessions), tracer)
+            outputs = self._session(router, client, emits, records, len(sessions), tracer)
             sessions.append(time.perf_counter() - started)
+            # checked between sessions, outside every timed interval
+            for index, output in outputs:
+                indices.append(index)
+                digest = hashlib.blake2b(output.tobytes()).digest()
+                if index not in first:
+                    first[index] = (output, digest)
+                elif digest != first[index][1]:
+                    records[len(indices) - 1].failed = True
         for handle in router.replicas:
             handle.scheduler.on_emit = None
         queue = [r.queue_seconds for r in router.telemetry.values() if r.finish_time]
@@ -558,25 +567,31 @@ class Routed:
             units=len(sessions),
             records=records,
             rss_mib=rss_peak_mib(),
-            checks=checks,
-            context={"queue_waits": queue, "obs": client.obs},
+            checks=sorted((index, output) for index, (output, _) in first.items()),
+            context={"queue_waits": queue, "obs": client.obs, "requests": indices},
         )
 
-    def _session(self, router, client, emits, records, checks, session: int, tracer) -> None:
-        """``CLIENTS`` clients send ``SESSION`` requests in all, each waiting for its last."""
+    def _session(self, router, client, emits, records, session: int, tracer) -> List[tuple]:
+        """``CLIENTS`` clients send ``SESSION`` requests in all, each waiting for its last.
+
+        Returns each finished request's index and output, in finishing order.
+        """
         inflight: Dict[int, tuple] = {}
+        outputs: List[tuple] = []
         first = session * self.SESSION
         sent = first
 
         def send():
             nonlocal sent
-            q, k, v, prompt, speculate = self.request(sent)
+            index = sent - first
+            q, k, v, prompt, speculate = self.requests[index]
             request = LoopRequest(
                 q=q, k=k, v=v, mask=self.mask, prompt_tokens=prompt, speculate_k=speculate
             )
             if tracer is not None:
                 tracer.request_id = sent
-            inflight[client.submit(request)] = (q, k, v, prompt)
+            submitted = time.perf_counter()
+            inflight[client.submit(request)] = (index, q, k, v, prompt, submitted)
             if tracer is not None:
                 tracer.request_id = -1
             sent += 1
@@ -590,7 +605,7 @@ class Routed:
             if stalled > 3:
                 raise RuntimeError("routed workload stalled")
             for rid in report.finished:
-                q, k, v, prompt = inflight.pop(rid)
+                index, q, k, v, prompt, submitted = inflight.pop(rid)
                 output = router.results.pop(rid)
                 telemetry = router.telemetry[rid]
                 replica = next(
@@ -600,18 +615,27 @@ class Routed:
                 total = q.shape[-2]
                 times = emits.pop(replica, telemetry.request_id)
                 edges = stream_edges(self.mask, total)
-                records.append(_stream_record(telemetry, times, total, edges, session))
-                checks.append((q, k, v, prompt, output))
+                records.append(Record(submitted, times, 0, total, edges, unit=session))
+                outputs.append((index, output))
                 if sent < first + self.SESSION:
                     send()
+        return outputs
 
     def verify(self, result: Pass) -> int:
-        failed = 0
-        for record, (q, k, v, prompt, output) in zip(result.records, result.checks):
+        """First output per request vs its ``DecodeSession`` replay.
+
+        A mismatch fails every copy of the request; a later copy that did not
+        repeat the first was already failed during the pass.
+        """
+        wrong = set()
+        for index, output in result.checks:
+            q, k, v, prompt, _ = self.requests[index]
             if not np.array_equal(output, replay(self.mask, q, k, v, prompt, "int8")):
-                failed += 1
+                wrong.add(index)
+        for record, index in zip(result.records, result.context["requests"]):
+            if index in wrong:
                 record.failed = True
-        return failed
+        return sum(r.failed for r in result.records)
 
     def close(self, client) -> None:
         client.close()
