@@ -17,8 +17,8 @@ that path:
   one query row against the cached keys via the online-softmax state.
 * :func:`stacked_decode_step` / :func:`stacked_prefill` — the
   continuous-batching primitives: decode steps (or same-position prompt
-  chunks) of several sessions that share one plan stack into a single
-  vectorized kernel pass (used by
+  chunks) of several sessions with the same neighbour set stack into a
+  single vectorized kernel pass (used by
   :meth:`repro.serve.scheduler.AttentionServer.decode_steps` /
   :meth:`~repro.serve.scheduler.AttentionServer.prefill_chunks` and the
   iteration-level loop in :mod:`repro.serve.loop`).
@@ -51,8 +51,9 @@ from repro.core.result import AttentionResult, OpCounts
 from repro.masks.base import as_mask_spec
 from repro.masks.rows import compile_row_program
 from repro.masks.structured import DenseMask
-from repro.serve.paging import BlockPool, PagedKVCache
+from repro.serve.paging import BlockPool, PagedKVCache, stacked_physical
 from repro.serve.plan import ExecutionPlan, compile_plan
+from repro.serve.quant import EncodedChunk
 from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import require
 
@@ -345,9 +346,9 @@ class DecodeSession:
     ) -> "DecodeSession":
         """Compile a decode plan for ``mask`` at ``horizon`` and open a session.
 
-        The plan keeps its canonical cache key, so independently started
-        sessions over the same mask shape can still coalesce their steps
-        (see :func:`stacked_decode_step`).  Passing ``pool`` backs the session
+        Independently started sessions whose steps attend the same
+        neighbour set can still coalesce them (see
+        :func:`stacked_decode_step`).  Passing ``pool`` backs the session
         with a :class:`~repro.serve.paging.PagedKVCache` over that shared
         block pool instead of a private buffer.
         """
@@ -541,19 +542,80 @@ class DecodeSession:
 
 
 # --------------------------------------------------------------------------- #
-# Continuous batching: stacked same-plan decode steps
+# Continuous batching: which steps share one stacked kernel pass
 # --------------------------------------------------------------------------- #
-def _require_shared_plan_and_position(sessions: Sequence["DecodeSession"], verb: str) -> int:
-    """Assert every session shares the first one's plan and position."""
+def _layout_key(q, k, v) -> Tuple:
+    """Shapes and dtypes a stacked pass needs identical across its members."""
+    q, v = np.asarray(q), np.asarray(v)
+    return (q.shape, v.shape, q.dtype.str, np.asarray(k).dtype.str, v.dtype.str)
+
+
+def plan_group_key(session: "DecodeSession", q, k, v) -> Tuple:
+    """Group key of a prefill chunk or speculative window: plan, position, layout.
+
+    Multi-row work stays keyed by plan.  Keying prefill by neighbour set
+    would merge nearly every stream's prompt chunk at position 0 into one
+    group, and one very wide group makes the first iteration slower than
+    several narrow ones (its kernel pass and stacked arrays grow with the
+    group), which raises time to first token and peak memory.  A speculative
+    window's draft rows come from its own plan's mask, so speculation keeps
+    plan identity too.
+    """
+    return (session.plan.key or id(session.plan), session.position) + _layout_key(q, k, v)
+
+
+def decode_group_key(session: "DecodeSession", q, k, v, rows: Dict) -> Tuple:
+    """Group key of a one-token decode step: the neighbour set it attends.
+
+    A step computes only the edges of its causal mask row, so steps fuse
+    whenever they attend the same row at the same position with the same
+    resolved scale, shapes and dtypes, whatever plan (horizon, or mask that
+    coincides there) produced the row.  ``rows`` memoises each
+    ``(program, position)`` row; pass one fresh dict per grouping call.  A
+    step past its session's horizon keys on no row, so the stacked pass
+    reports the horizon error.
+    """
+    position = session.position
+    memo = (id(session.program), position)
+    row = rows.get(memo)
+    if row is None and position < session.horizon:
+        cols = session.program.causal_row(position)
+        row = rows[memo] = np.asarray(cols, dtype=np.int64).tobytes()
+    scale = resolve_scale(session.plan.scale, np.shape(q)[-1])
+    return (row, scale, position) + _layout_key(q, k, v)
+
+
+def _require_shared_rows_and_position(
+    sessions: Sequence["DecodeSession"], verb: str, count: int, head_dim: int
+) -> None:
+    """Assert every session sits at the first one's position and attends its rows.
+
+    A session on another plan passes when its causal rows
+    ``position..position+count-1`` and resolved scale equal the first
+    session's; the comparison runs once per distinct plan.  Rows past a
+    horizon are not compared: the caller's per-session horizon check
+    rejects them.
+    """
     first = sessions[0]
     position = first.position
+    scale = resolve_scale(first.plan.scale, head_dim)
+    stop = position + count
+    matched = {first.plan.key or id(first.plan)}
     for session in sessions[1:]:
-        shared = session.plan is first.plan or (
-            first.plan.key is not None and session.plan.key == first.plan.key
-        )
-        require(shared, f"{verb} needs sessions sharing one plan")
         require(session.position == position, f"{verb} needs sessions at one position")
-    return position
+        plan = session.plan
+        key = plan.key or id(plan)
+        if key in matched:
+            continue
+        same = resolve_scale(plan.scale, head_dim) == scale and (
+            stop > min(first.horizon, session.horizon)
+            or all(
+                np.array_equal(first.program.causal_row(i), session.program.causal_row(i))
+                for i in range(position, stop)
+            )
+        )
+        require(same, f"{verb} needs sessions sharing one neighbour set")
+        matched.add(key)
 
 
 def _stacked_extend(
@@ -567,13 +629,17 @@ def _stacked_extend(
     Paged sessions reserve every block the batch needs per pool BEFORE any
     cache advances — pool exhaustion fails the whole batch with no block
     table advanced (the PR 3 atomicity guarantee).  Prefix-share hits consume
-    no reservation; leftover entries return to their pools.
+    no reservation; leftover entries return to their pools.  Each pool's
+    rows are encoded in one call; probing, copy-on-write and fingerprints
+    stay per session.
     """
     pending: Dict[BlockPool, int] = {}
-    for session in sessions:
+    members: Dict[BlockPool, List[int]] = {}
+    for index, session in enumerate(sessions):
         if isinstance(session.cache, PagedKVCache):
             pool = session.cache.pool
             pending[pool] = pending.get(pool, 0) + session.cache.plan_extend(tokens)
+            members.setdefault(pool, []).append(index)
     reservations: Dict[BlockPool, List[int]] = {pool: [] for pool in pending}
     try:
         for pool, count in pending.items():
@@ -584,17 +650,78 @@ def _stacked_extend(
                 pool.release(blocks)
         raise
     try:
-        for session, k, v in zip(sessions, k_rows, v_rows):
-            session._ensure_cache(k, v)
-            if isinstance(session.cache, PagedKVCache):
-                session.cache.extend(k, v, reserved=reservations[session.cache.pool])
-            else:
+        payloads: Dict[int, EncodedChunk] = {}
+        for pool, indices in members.items():
+            k_stack = np.stack([k_rows[i] for i in indices])
+            v_stack = np.stack([v_rows[i] for i in indices])
+            require(
+                k_stack.shape[1:] == pool.batch_shape + (tokens, pool.key_dim)
+                and v_stack.shape[1:] == pool.batch_shape + (tokens, pool.value_dim),
+                "token rows do not match the pool layout",
+            )
+            stacked = pool.encode(
+                k_stack.astype(pool.dtype, copy=False), v_stack.astype(pool.dtype, copy=False)
+            )
+            for slot, index in enumerate(indices):
+                payloads[index] = stacked.member(slot)
+        for index, (session, k, v) in enumerate(zip(sessions, k_rows, v_rows)):
+            payload = payloads.get(index)
+            if payload is None:
+                session._ensure_cache(k, v)
                 session.cache.extend(k, v)
+                continue
+            cache = session.cache
+            require(not cache.released, "cache was released back to the pool")
+            cache._extend_encoded(payload, tokens, reservations[cache.pool])
     finally:
         # share hits consume no reservation; return what the batch left over
         for pool, blocks in reservations.items():
             if blocks:
                 pool.release(blocks)
+
+
+def _sessions_first(rows: np.ndarray, batch_ndim: int) -> np.ndarray:
+    """Move a pool gather's ``batch_shape + (S, E, d)`` to ``(S,) + batch_shape + (E, d)``."""
+    return np.ascontiguousarray(np.moveaxis(rows, batch_ndim, 0)) if batch_ndim else rows
+
+
+def _gather_stacked(
+    sessions: Sequence["DecodeSession"], cols: np.ndarray, *, values: bool = True
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """K (and V) rows at ``cols`` for every session, ``(S,) + batch_shape + (E, d)``.
+
+    Sessions paged on one pool share one ``(S, E)`` arena-row index
+    (:func:`~repro.serve.paging.stacked_physical`) and one gather per arena;
+    only private :class:`KVCache` sessions gather one by one.  ``values=False``
+    skips the value gather and returns ``None`` in its place.
+    """
+    groups: Dict[Optional[BlockPool], List[int]] = {}
+    for index, session in enumerate(sessions):
+        cache = session.cache
+        pool = cache.pool if isinstance(cache, PagedKVCache) else None
+        groups.setdefault(pool, []).append(index)
+    parts = []
+    for pool, indices in groups.items():
+        caches = [sessions[i].cache for i in indices]
+        if pool is None:
+            k_sel = np.stack([c.gather_keys(cols) for c in caches])
+            v_sel = np.stack([c.gather_values(cols) for c in caches]) if values else None
+        else:
+            physical = stacked_physical(caches, cols)
+            batch_ndim = len(pool.batch_shape)
+            k_sel = _sessions_first(pool.decode_key_rows(physical), batch_ndim)
+            v_sel = (
+                _sessions_first(pool.decode_value_rows(physical), batch_ndim) if values else None
+            )
+        parts.append((indices, k_sel, v_sel))
+    if len(parts) == 1:
+        return parts[0][1], parts[0][2]
+    # a group spanning pools and private caches: restore the session order
+    order = np.empty(len(sessions), dtype=np.int64)
+    order[np.concatenate([indices for indices, _, _ in parts])] = np.arange(len(sessions))
+    k_sel = np.concatenate([part[1] for part in parts])[order]
+    v_sel = np.concatenate([part[2] for part in parts])[order] if values else None
+    return k_sel, v_sel
 
 
 def stacked_prefill(
@@ -605,11 +732,12 @@ def stacked_prefill(
 ) -> List[AttentionResult]:
     """One prefill chunk for several sessions fused into a single kernel pass.
 
-    The chunked-prefill twin of :func:`stacked_decode_step`: sessions sharing
-    one plan and position append identically-shaped ``batch_shape + (P, d)``
-    prompt chunks, and all their causal rows run through one stacked
-    segment-softmax pass.  Block reservation is atomic per pool, so exhaustion
-    fails the whole group before any block table advances.  Returns one
+    The chunked-prefill twin of :func:`stacked_decode_step`: sessions at one
+    position whose causal rows for the chunk coincide append
+    identically-shaped ``batch_shape + (P, d)`` prompt chunks, and all their
+    causal rows run through one stacked segment-softmax pass.  Block
+    reservation is atomic per pool, so exhaustion fails the whole group
+    before any block table advances.  Returns one
     per-session :class:`~repro.core.result.AttentionResult`, exactly equal to
     what individual :meth:`DecodeSession.prefill` calls would produce.
     """
@@ -621,7 +749,7 @@ def stacked_prefill(
     first = sessions[0]
     if len(sessions) == 1:
         return [first.prefill(qs[0], ks[0], vs[0])]
-    position = _require_shared_plan_and_position(sessions, "stacked prefill")
+    position = first.position
 
     # validate every chunk fully before mutating any session: a failure below
     # must not leave earlier sessions' caches advanced with orphan tokens
@@ -657,6 +785,7 @@ def stacked_prefill(
         k_list.append(k)
         v_list.append(v)
     count = int(q_list[0].shape[-2])
+    _require_shared_rows_and_position(sessions, "stacked prefill", count, q_list[0].shape[-1])
 
     _stacked_extend(sessions, k_list, v_list, count)
 
@@ -666,21 +795,18 @@ def stacked_prefill(
     scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
     # stack sessions on a new leading axis: (S,) + batch_shape + (P|E, d)
     q_stack = np.stack(q_list)
-    k_sel = np.stack([s.cache.gather_keys(cols) for s in sessions])
-    v_sel = np.stack([s.cache.gather_values(cols) for s in sessions])
+    k_sel, v_sel = _gather_stacked(sessions, cols)
     output, state = _edge_attention(
         q_stack, k_sel, v_sel, indptr, scale_value=scale_value, out_dtype=q_stack.dtype
     )
 
     edges = int(cols.size)
+    # every member has the same batch shape (checked above): one count serves all
+    ops = OpCounts.for_edges(
+        edges, q_stack.shape[-1], v_sel.shape[-1], batch=prod(q_stack.shape[1:-2])
+    )
     results: List[AttentionResult] = []
     for index, session in enumerate(sessions):
-        ops = OpCounts.for_edges(
-            edges,
-            q_stack.shape[-1],
-            v_sel.shape[-1],
-            batch=prod(session.cache.batch_shape),
-        )
         result = AttentionResult(
             output=output[index],
             row_max=state.row_max[index],
@@ -707,11 +833,12 @@ def stacked_decode_step(
 ) -> List[AttentionResult]:
     """One decode step for several sessions fused into a single kernel pass.
 
-    All sessions must share one plan (same mask/horizon/scale) and sit at the
-    same position with identically-shaped caches, so they also share the new
-    token's neighbour set; their query rows and gathered K/V stack along a
-    new leading axis and the whole group runs through one vectorized
-    segment-softmax pass — the continuous-batching shape of decode serving.
+    All sessions must sit at the same position with identically-shaped
+    caches and share the new token's neighbour set (the same causal mask row
+    and resolved scale; their plans may differ, e.g. in horizon); their
+    query rows and gathered K/V stack along a new leading axis and the whole
+    group runs through one vectorized segment-softmax pass — the
+    continuous-batching shape of decode serving.
     Returns one per-session :class:`~repro.core.result.AttentionResult`,
     exactly equal to what individual :meth:`DecodeSession.step` calls would
     produce.
@@ -725,7 +852,7 @@ def stacked_decode_step(
     if len(sessions) == 1:
         return [first.step(qs[0], ks[0], vs[0])]
 
-    position = _require_shared_plan_and_position(sessions, "stacked decode steps")
+    position = first.position
 
     # validate every step fully before mutating any session: a failure below
     # must not leave earlier sessions' caches advanced with orphan tokens
@@ -751,6 +878,7 @@ def stacked_decode_step(
         q_rows.append(q)
         k_rows.append(k)
         v_rows.append(v)
+    _require_shared_rows_and_position(sessions, "stacked decode steps", 1, q_rows[0].shape[-1])
 
     _stacked_extend(sessions, k_rows, v_rows, 1)
 
@@ -759,20 +887,17 @@ def stacked_decode_step(
     scale_value = resolve_scale(first.plan.scale, q_rows[0].shape[-1])
     # stack sessions on a new leading axis: (S,) + batch_shape + (E, d)
     q_stack = np.stack(q_rows)
-    k_sel = np.stack([s.cache.gather_keys(cols) for s in sessions])
-    v_sel = np.stack([s.cache.gather_values(cols) for s in sessions])
+    k_sel, v_sel = _gather_stacked(sessions, cols)
     output, state = _edge_attention(
         q_stack, k_sel, v_sel, indptr, scale_value=scale_value, out_dtype=q_stack.dtype
     )
 
+    # every member has the same batch shape (checked above): one count serves all
+    ops = OpCounts.for_edges(
+        int(cols.size), q_stack.shape[-1], v_sel.shape[-1], batch=prod(q_stack.shape[1:-2])
+    )
     results: List[AttentionResult] = []
     for index, session in enumerate(sessions):
-        ops = OpCounts.for_edges(
-            int(cols.size),
-            q_stack.shape[-1],
-            v_sel.shape[-1],
-            batch=prod(session.cache.batch_shape),
-        )
         result = AttentionResult(
             output=output[index],
             row_max=state.row_max[index],

@@ -15,8 +15,8 @@ the field:
 2. **Batch formation** — each iteration mixes *prefill chunks* (at most
    ``prefill_chunk`` prompt tokens per stream per iteration, so a long
    prompt cannot monopolize an iteration) with one *decode step* per
-   generating stream; work is grouped by plan key and coalesced into one
-   stacked kernel pass per group
+   generating stream; decode steps are grouped by neighbour set (prefill
+   chunks by plan) and coalesced into one stacked kernel pass per group
    (:meth:`~repro.serve.scheduler.AttentionServer.prefill_chunks` /
    :meth:`~repro.serve.scheduler.AttentionServer.decode_steps`).
 3. **Preemption** — when a group's atomic block reservation fails with
@@ -56,7 +56,7 @@ from repro.obs.recorder import NULL_OBS, Observability
 from repro.obs.tracing import Span
 from repro.perfmodel.decode import blocks_for_tokens, preemption_cost, speculation_cost
 from repro.perfmodel.devices import DeviceSpec
-from repro.serve.decode import DecodeSession
+from repro.serve.decode import DecodeSession, decode_group_key, plan_group_key
 from repro.serve.paging import PagedKVCache, PoolExhausted, SwapStore
 from repro.utils.rng import default_rng
 from repro.utils.validation import require
@@ -1235,28 +1235,28 @@ class ContinuousBatchingScheduler:
     def _group(
         self, plan: List[Tuple[_Stream, str, int]]
     ) -> List[List[Tuple[_Stream, str, int]]]:
-        """Coalesce the batch: same-plan same-position same-shape work fuses.
+        """Coalesce the batch: decode steps fuse by neighbour set, prefill
+        chunks and speculative windows by plan.
 
-        The key mirrors the server's grouping exactly, so each group maps to
-        one stacked kernel pass — and one *atomic* block reservation, which
-        is what lets :meth:`_execute_group` retry a failed group after
-        preempting a victim without any partial advance.
+        The keys are the server's own (:func:`~repro.serve.decode.
+        decode_group_key` / :func:`~repro.serve.decode.plan_group_key`), so
+        each group maps to one stacked kernel pass — and one *atomic* block
+        reservation, which is what lets :meth:`_execute_group` retry a failed
+        group after preempting a victim without any partial advance.
         """
         groups: Dict[Tuple, List[Tuple[_Stream, str, int]]] = {}
+        rows: Dict = {}
         for stream, kind, count in plan:
-            session = stream.session
-            key = (
-                kind,
-                count,
-                session.plan.key or id(session.plan),
-                session.position,
-                stream.request.batch_shape,
-                stream.request.q.dtype.str,
-                stream.request.v.dtype.str,
-                stream.request.q.shape[-1],
-                stream.request.v.shape[-1],
-            )
-            groups.setdefault(key, []).append((stream, kind, count))
+            session, request, start = stream.session, stream.request, stream.emitted
+            if kind == "decode":
+                q, k, v = (a[..., start, :] for a in (request.q, request.k, request.v))
+                key = decode_group_key(session, q, k, v, rows)
+            else:
+                q, k, v = (
+                    a[..., start : start + count, :] for a in (request.q, request.k, request.v)
+                )
+                key = plan_group_key(session, q, k, v)
+            groups.setdefault((kind,) + key, []).append((stream, kind, count))
         return list(groups.values())
 
     def _execute_group(

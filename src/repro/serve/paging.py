@@ -654,7 +654,11 @@ class BlockPool:
         zero: Optional[np.ndarray],
         physical: np.ndarray,
     ) -> np.ndarray:
-        """Gather physical rows and decode them to the compute dtype."""
+        """Gather physical rows and decode them to the compute dtype.
+
+        ``physical`` may have any shape; the result is ``batch_shape +
+        physical.shape + (d,)``, so one call serves a whole ``(S, E)`` group.
+        """
         if self._identity:
             # storage == compute: the fp32 hot path stays one fancy-index
             return arena[..., physical, :]
@@ -662,7 +666,8 @@ class BlockPool:
         if scale is None:
             out = arena[..., physical, :].astype(self._dtype)
         else:
-            out = compiled.gather_dequant_int8(arena, scale, zero, physical)
+            out = compiled.gather_dequant_int8(arena, scale, zero, physical.reshape(-1))
+            out = out.reshape(self.batch_shape + physical.shape + arena.shape[-1:])
             if self._dtype != out.dtype:
                 out = out.astype(self._dtype)
         if self.obs.enabled:
@@ -884,10 +889,14 @@ class PagedKVCache:
                 "gather past the live token range",
             )
         size = self.pool.block_size
+        return self._table()[positions // size] * size + positions % size
+
+    def _table(self) -> np.ndarray:
+        """The block table as an int64 array, rebuilt only after it changed."""
         if self._table_dirty:
             self._table_cache = np.asarray(self._blocks, dtype=np.int64)
             self._table_dirty = False
-        return self._table_cache[positions // size] * size + positions % size
+        return self._table_cache
 
     def gather_keys(self, positions: np.ndarray) -> np.ndarray:
         """Key rows of logical token ``positions``, ``batch_shape + (E, d_k)``.
@@ -1363,6 +1372,32 @@ class PagedKVCache:
         self._extend_encoded(handle.payload, handle.length, None)
 
 
+def stacked_physical(caches: Sequence[PagedKVCache], positions: np.ndarray) -> np.ndarray:
+    """Arena rows of logical ``positions`` in every cache, shaped ``(S, E)``.
+
+    The group form of :meth:`PagedKVCache.gather_keys`'s table lookup for
+    caches on one pool: ``positions`` is checked against the live range once
+    and split into block and offset once, then each cache contributes one
+    block-table lookup.  Feeding the result to
+    :meth:`BlockPool.decode_key_rows` gathers the whole group in one call.
+    """
+    pool = caches[0].pool
+    require(all(c.pool is pool for c in caches), "stacked lookup needs caches on one pool")
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size:
+        require(int(positions.min()) >= 0, "gather with negative positions")
+        require(
+            int(positions.max()) < min(c.length for c in caches),
+            "gather past the live token range",
+        )
+    size = pool.block_size
+    blocks = positions // size
+    physical = np.stack([c._table()[blocks] for c in caches])
+    physical *= size
+    physical += positions % size
+    return physical
+
+
 # --------------------------------------------------------------------------- #
 # Host-side swap parking
 # --------------------------------------------------------------------------- #
@@ -1460,4 +1495,5 @@ __all__ = [
     "SwapHandle",
     "SwapStore",
     "SwapStoreStats",
+    "stacked_physical",
 ]

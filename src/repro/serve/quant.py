@@ -173,6 +173,12 @@ class EncodedChunk(NamedTuple):
             v_zero=self.v_zero[..., start:stop],
         )
 
+    def member(self, index: int) -> "EncodedChunk":
+        """Chunk ``index`` of chunks encoded stacked on a leading axis (views)."""
+        if not self.quantized:
+            return EncodedChunk(k=self.k[index], v=self.v[index])
+        return EncodedChunk(*(a[index] for a in self))
+
     def concat(self, other: "EncodedChunk") -> "EncodedChunk":
         """This chunk's rows followed by ``other``'s (for tail fingerprints)."""
         if not self.quantized:

@@ -26,8 +26,9 @@ Autoregressive decoding streams through the same front-end: the
 :class:`~repro.serve.client.ServingClient` façade (``open_session`` /
 ``request_session``) hands out :class:`~repro.serve.decode.DecodeSession`
 objects whose decode-mode plans share the server's plan cache, and
-:meth:`AttentionServer.decode_steps` coalesces same-plan same-position steps
-from concurrent sessions into one stacked kernel pass (continuous batching).
+:meth:`AttentionServer.decode_steps` coalesces steps from concurrent sessions
+that attend the same neighbour set into one stacked kernel pass (continuous
+batching).
 The old ``open_decode_session`` / ``request_decode_session`` entry points
 survive as deprecation shims over the same internals.
 """
@@ -55,7 +56,13 @@ from repro.sparse.csr import CSRMatrix
 from repro.perfmodel.decode import blocks_for_tokens
 from repro.perfmodel.devices import DeviceSpec
 from repro.serve.cache import PlanCache
-from repro.serve.decode import DecodeSession, stacked_decode_step, stacked_prefill
+from repro.serve.decode import (
+    DecodeSession,
+    decode_group_key,
+    plan_group_key,
+    stacked_decode_step,
+    stacked_prefill,
+)
 from repro.serve.paging import (
     DEFAULT_BLOCK_SIZE,
     BlockPool,
@@ -707,16 +714,7 @@ class AttentionServer:
                 "a session may appear at most once per prefill_chunks call",
             )
             seen_sessions.add(id(session))
-            group_key = (
-                session.plan.key or id(session.plan),
-                session.position,
-                np.shape(q),
-                np.shape(v),
-                np.asarray(q).dtype.str,
-                np.asarray(k).dtype.str,
-                np.asarray(v).dtype.str,
-            )
-            groups.setdefault(group_key, []).append(index)
+            groups.setdefault(plan_group_key(session, q, k, v), []).append(index)
 
         responses: List[Optional[AttentionResponse]] = [None] * len(chunks)
         tokens = 0
@@ -764,9 +762,11 @@ class AttentionServer:
     ) -> List[AttentionResponse]:
         """Serve one decode step per ``(session, q, k, v)`` entry.
 
-        Continuous batching: steps whose sessions share one plan, sit at the
-        same position and carry identically-shaped tensors are fused into a
-        single stacked kernel pass (:func:`~repro.serve.decode.stacked_decode_step`);
+        Continuous batching: steps whose sessions attend the same neighbour
+        set (:func:`~repro.serve.decode.decode_group_key`: causal mask row,
+        scale and position, whatever the plan or horizon) and carry
+        identically-shaped tensors are fused into a single stacked kernel
+        pass (:func:`~repro.serve.decode.stacked_decode_step`);
         ragged steps execute as singleton groups.  Responses follow the input
         order.  A session may appear at most once per call — its position
         advances with every step, so two steps for one stream are inherently
@@ -778,22 +778,14 @@ class AttentionServer:
         started = time.perf_counter()
         seen_sessions = set()
         groups: "Dict[Tuple, List[int]]" = {}
+        rows: Dict = {}
         for index, (session, q, k, v) in enumerate(steps):
             require(
                 id(session) not in seen_sessions,
                 "a session may appear at most once per decode_steps call",
             )
             seen_sessions.add(id(session))
-            group_key = (
-                session.plan.key or id(session.plan),
-                session.position,
-                np.shape(q),
-                np.shape(v),
-                np.asarray(q).dtype.str,
-                np.asarray(k).dtype.str,
-                np.asarray(v).dtype.str,
-            )
-            groups.setdefault(group_key, []).append(index)
+            groups.setdefault(decode_group_key(session, q, k, v, rows), []).append(index)
 
         responses: List[Optional[AttentionResponse]] = [None] * len(steps)
         for indices in groups.values():
@@ -811,9 +803,16 @@ class AttentionServer:
                     self.stats.decode_stacked_executions += 1
                     self.stats.decode_coalesced_steps += len(indices)
             if self.obs.enabled:
-                plan_key = sessions[0].plan.key or "adhoc"
-                kernel = self.obs.kernel_seconds.labels(plan=plan_key, phase="decode")
-                for _ in indices:
+                # a group may span plans (same neighbour set, other horizons):
+                # each member is observed under its own plan key
+                kernels: Dict[str, object] = {}
+                for session in sessions:
+                    plan_key = session.plan.key or "adhoc"
+                    kernel = kernels.get(plan_key)
+                    if kernel is None:
+                        kernel = kernels[plan_key] = self.obs.kernel_seconds.labels(
+                            plan=plan_key, phase="decode"
+                        )
                     kernel.observe(latency)
             for index, session, result in zip(indices, sessions, results):
                 responses[index] = AttentionResponse(
@@ -860,16 +859,7 @@ class AttentionServer:
                 "a session may appear at most once per speculate_steps call",
             )
             seen_sessions.add(id(session))
-            group_key = (
-                session.plan.key or id(session.plan),
-                session.position,
-                np.shape(q),
-                np.shape(v),
-                np.asarray(q).dtype.str,
-                np.asarray(k).dtype.str,
-                np.asarray(v).dtype.str,
-            )
-            groups.setdefault(group_key, []).append(index)
+            groups.setdefault(plan_group_key(session, q, k, v), []).append(index)
 
         outcomes: List[Optional[SpeculationOutcome]] = [None] * len(steps)
         drafted = accepted = rolled_back = fallbacks = 0

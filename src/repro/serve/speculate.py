@@ -57,7 +57,7 @@ from repro.masks.structured import DenseMask
 from repro.serve.decode import (
     DecodeSession,
     _edge_attention,
-    _require_shared_plan_and_position,
+    _gather_stacked,
     _stacked_extend,
     stacked_decode_step,
 )
@@ -146,6 +146,23 @@ def draft_program_for(
 # --------------------------------------------------------------------------- #
 # Stacked row helpers
 # --------------------------------------------------------------------------- #
+def _require_shared_plan_and_position(sessions: Sequence[DecodeSession], verb: str) -> int:
+    """Assert every session shares the first one's plan and position.
+
+    Speculation stays plan-keyed (unlike one-token decode steps, which fuse
+    by neighbour set): the draft rows come from the first session's plan.
+    """
+    first = sessions[0]
+    position = first.position
+    for session in sessions[1:]:
+        shared = session.plan is first.plan or (
+            first.plan.key is not None and session.plan.key == first.plan.key
+        )
+        require(shared, f"{verb} needs sessions sharing one plan")
+        require(session.position == position, f"{verb} needs sessions at one position")
+    return position
+
+
 def _rows_layout(
     program: RowProgram, start: int, count: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -171,7 +188,7 @@ def _stacked_scores(
     (same accumulator dtype, same einsum), without the softmax — the draft
     pass only needs per-row argmaxes.
     """
-    k_sel = np.stack([s.cache.gather_keys(cols) for s in sessions])
+    k_sel, _ = _gather_stacked(sessions, cols, values=False)
     acc_dtype = accumulator_dtype(q_stack.dtype)
     q_acc = np.asarray(q_stack, dtype=acc_dtype)
     k_acc = np.asarray(k_sel, dtype=acc_dtype)
@@ -398,8 +415,7 @@ def speculative_decode_steps(
     scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
     verify_cols, verify_indptr = _rows_layout(first.program, position, count)
     q_stack = np.stack([q_list[i] for i in alive])
-    k_sel = np.stack([s.cache.gather_keys(verify_cols) for s in live_sessions])
-    v_sel = np.stack([s.cache.gather_values(verify_cols) for s in live_sessions])
+    k_sel, v_sel = _gather_stacked(live_sessions, verify_cols)
     output, state, scores = _edge_attention(
         q_stack,
         k_sel,

@@ -14,13 +14,17 @@ from repro.masks.global_ import GlobalMask
 from repro.masks.presets import bigbird_mask, longformer_mask
 from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
+from repro.obs.recorder import Observability
 from repro.serve.decode import (
     DecodeSession,
     KVCache,
+    decode_group_key,
     decode_reference_mask,
     stacked_decode_step,
+    stacked_prefill,
 )
 from repro.serve.client import ServingClient
+from repro.serve.paging import BlockPool
 from repro.serve.scheduler import AttentionServer
 from repro.utils.rng import random_qkv
 
@@ -223,9 +227,20 @@ class TestStackedDecode:
             stacked_decode_step([a, b], [q[1], q[1]], [k[1], k[1]], [v[1], v[1]])
 
     def test_mismatched_plans_rejected(self):
+        # windows 3 and 5 coincide on rows 0-2 and stack there; row 3 differs
         a = DecodeSession.start(LocalMask(window=3), 16)
         b = DecodeSession.start(LocalMask(window=5), 16)
-        q, k, v = random_qkv(2, 4, dtype=np.float32, seed=71)
+        q, k, v = random_qkv(4, 4, dtype=np.float32, seed=71)
+        for i in range(3):
+            stacked_decode_step([a, b], [q[i], q[i]], [k[i], k[i]], [v[i], v[i]])
+        with pytest.raises(ValueError):
+            stacked_decode_step([a, b], [q[3], q[3]], [k[3], k[3]], [v[3], v[3]])
+        assert a.position == 3 and b.position == 3
+
+    def test_mismatched_scales_rejected(self):
+        a = DecodeSession.start(LocalMask(window=3), 16)
+        b = DecodeSession.start(LocalMask(window=3), 16, scale=0.25)
+        q, k, v = random_qkv(1, 4, dtype=np.float32, seed=72)
         with pytest.raises(ValueError):
             stacked_decode_step([a, b], [q[0], q[0]], [k[0], k[0]], [v[0], v[0]])
 
@@ -244,6 +259,93 @@ class TestStackedDecode:
         assert a.position == 1 and b.position == 1
         good = stacked_decode_step([a, b], [q[1], q[1]], [k[1], k[1]], [v[1], v[1]])
         assert all(r.meta["position"] == 1 for r in good)
+
+
+#: masks and horizons whose causal rows coincide on every row below 20: one
+#: window at three horizons, and the same window as an explicit CSR mask
+COINCIDING = [
+    (LocalMask(window=4), 20),
+    (LocalMask(window=4), 24),
+    (LocalMask(window=4).to_csr(22), 22),
+    (LocalMask(window=4), 28),
+]
+
+
+class TestNeighbourSetStacking:
+    """Steps fuse by neighbour set; stacked stays bitwise equal to solo steps."""
+
+    def _open(self, cache, batch_shape, dim):
+        """One session per COINCIDING entry; paged ones share one pool."""
+        storage = {"fp32": "fp32", "fp16": "fp16", "int8": "int8", "mixed": "fp32"}.get(cache)
+        pool = None
+        if storage is not None:
+            pool = BlockPool(40, 4, key_dim=dim, batch_shape=batch_shape, storage=storage)
+        sessions = []
+        for index, (mask, horizon) in enumerate(COINCIDING):
+            paged = pool is not None and (cache != "mixed" or index % 2 == 0)
+            sessions.append(
+                DecodeSession.start(
+                    mask, horizon, retain_outputs=True, pool=pool if paged else None
+                )
+            )
+        return sessions, pool
+
+    @pytest.mark.parametrize("batch_shape", [(), (2,)])
+    @pytest.mark.parametrize(
+        "cache", ["fp32", "fp16", "int8", "private-fp32", "private-fp16", "mixed"]
+    )
+    def test_mixed_horizons_and_masks_stack_bitwise_equal_to_solo(self, cache, batch_shape):
+        dim, prompt = 4, 5
+        dtype = np.float16 if cache == "private-fp16" else np.float32
+        rng = np.random.default_rng(7)
+        data = [
+            [rng.standard_normal(batch_shape + (20, dim)).astype(dtype) for _ in range(3)]
+            for _ in COINCIDING
+        ]
+        stacked, pool = self._open(cache, batch_shape, dim)
+        solo, solo_pool = self._open(cache, batch_shape, dim)
+        stacked_prefill(
+            stacked, *([d[j][..., :prompt, :] for d in data] for j in range(3))
+        )
+        for session, (q, k, v) in zip(solo, data):
+            session.prefill(q[..., :prompt, :], k[..., :prompt, :], v[..., :prompt, :])
+        for i in range(prompt, 20):
+            results = stacked_decode_step(
+                stacked, *([d[j][..., i, :] for d in data] for j in range(3))
+            )
+            assert all(r.meta["coalesced"] == len(COINCIDING) for r in results)
+            for result, session, (q, k, v) in zip(results, solo, data):
+                expected = session.step(q[..., i, :], k[..., i, :], v[..., i, :])
+                np.testing.assert_array_equal(result.output, expected.output)
+                np.testing.assert_array_equal(result.row_max, expected.row_max)
+                np.testing.assert_array_equal(result.row_sum, expected.row_sum)
+                assert result.ops == expected.ops
+        for a, b in zip(stacked, solo):
+            np.testing.assert_array_equal(a.outputs(), b.outputs())
+            a.close()
+            b.close()
+        for p in (pool, solo_pool):
+            if p is not None:
+                p.check_consistency()
+                assert p.blocks_in_use == 0
+
+    def test_group_key_follows_the_row_not_the_plan(self):
+        q, k, v = random_qkv(4, 4, dtype=np.float32, seed=5)
+        sessions = [DecodeSession.start(mask, horizon) for mask, horizon in COINCIDING]
+        other = DecodeSession.start(LocalMask(window=2), 20)
+        rows: dict = {}
+        keys = {decode_group_key(s, q[0], k[0], v[0], rows) for s in sessions + [other]}
+        assert len(keys) == 1  # row 0 is {0} for every window
+        for s in sessions + [other]:
+            s.prefill(q[:3], k[:3], v[:3])
+        rows = {}
+        keys = [decode_group_key(s, q[3], k[3], v[3], rows) for s in sessions + [other]]
+        assert len(set(keys[:-1])) == 1 and keys[-1] != keys[0]
+        # the memo holds one row per (program, position), not one per session
+        assert len(rows) == len({id(s.program) for s in sessions + [other]})
+        scaled = DecodeSession.start(LocalMask(window=4), 20, scale=0.25)
+        scaled.prefill(q[:3], k[:3], v[:3])
+        assert decode_group_key(scaled, q[3], k[3], v[3], rows) != keys[0]
 
 
 class TestServerStreaming:
@@ -300,12 +402,33 @@ class TestServerStreaming:
         with AttentionServer(cache_capacity=8) as server:
             a = ServingClient(server).open_session(LocalMask(window=3), 16)
             b = ServingClient(server).open_session(LocalMask(window=5), 16)
-            q, k, v = random_qkv(2, 4, dtype=np.float32, seed=91)
+            q, k, v = random_qkv(4, 4, dtype=np.float32, seed=91)
+            for session in (a, b):
+                session.prefill(q[:3], k[:3], v[:3])  # row 3 differs between the masks
             responses = server.decode_steps(
-                [(a, q[0], k[0], v[0]), (b, q[0], k[0], v[0])]
+                [(a, q[3], k[3], v[3]), (b, q[3], k[3], v[3])]
             )
             assert len(responses) == 2
             assert server.stats.decode_stacked_executions == 0
+
+    def test_kernel_seconds_observed_under_each_members_plan(self):
+        # two horizons share row 0, so one stacked pass spans two plan keys
+        obs = Observability(enabled=True)
+        with AttentionServer(cache_capacity=8, obs=obs) as server:
+            sessions = [
+                ServingClient(server).open_session(LocalMask(window=3), horizon)
+                for horizon in (12, 12, 16)
+            ]
+            q, k, v = random_qkv(1, 4, dtype=np.float32, seed=94)
+            server.decode_steps([(s, q[0], k[0], v[0]) for s in sessions])
+            assert server.stats.decode_stacked_executions == 1
+            assert server.stats.decode_coalesced_steps == 3
+            counts = {
+                dict(sample.labels)["plan"]: sample.count
+                for sample in obs.snapshot().with_name("server_kernel_seconds")
+                if dict(sample.labels)["phase"] == "decode"
+            }
+            assert counts == {sessions[0].plan.key: 2, sessions[2].plan.key: 1}
 
     def test_single_session_step_helper(self):
         with AttentionServer(cache_capacity=8) as server:

@@ -197,7 +197,8 @@ class TestStackedPrefill:
         b.prefill(q[:4], k[:4], v[:4])  # positions now differ
         with pytest.raises(ValueError):
             stacked_prefill([a, b], [q[:4]] * 2, [k[:4]] * 2, [v[:4]] * 2)
-        other = DecodeSession.start(LocalMask(window=9), 12, pool=pool)
+        # window 2 differs from MASK's window 5 from row 2 on
+        other = DecodeSession.start(LocalMask(window=2), 12, pool=pool)
         with pytest.raises(ValueError):
             stacked_prefill([a, other], [q[:4]] * 2, [k[:4]] * 2, [v[:4]] * 2)
         for s in (a, b, other):
@@ -258,6 +259,44 @@ class TestSchedulerMechanics:
             outputs[chunk] = scheduler.run(max_iterations=100)[rid]
             server.close()
         np.testing.assert_array_equal(outputs[2], outputs[32])
+
+    def test_mixed_horizon_streams_take_one_decode_pass_per_iteration(self, monkeypatch):
+        # 128 streams at one position with 8 distinct lengths (horizons): the
+        # decode steps share one neighbour set, so each iteration makes one pass
+        import repro.serve.scheduler as scheduler_module
+
+        passes = []
+        stacked = scheduler_module.stacked_decode_step
+
+        def counting(sessions, *args):
+            passes.append(len(sessions))
+            return stacked(sessions, *args)
+
+        monkeypatch.setattr(scheduler_module, "stacked_decode_step", counting)
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=128 * 5, block_size=4)
+        scheduler = ContinuousBatchingScheduler(
+            server, clock=VirtualClock(), max_streams=128, prefill_chunk=4
+        )
+        requests = [self._request(8 + index % 8, 4, seed=100 + index) for index in range(128)]
+        ids = scheduler.submit_many(requests)
+        decode_iterations = 0
+        for _ in range(20):
+            before = len(passes)
+            report = scheduler.step()
+            if report.decode_tokens:
+                decode_iterations += 1
+                assert len(passes) - before == 1
+                assert passes[-1] == report.decode_tokens
+        assert len(scheduler.results) == len(ids)
+        assert decode_iterations == 11 and passes[0] == 128
+        for rid, request in zip(ids, requests):
+            replay = DecodeSession.start(MASK, request.total_tokens, retain_outputs=True)
+            replay.prefill(request.q[:4], request.k[:4], request.v[:4])
+            for i in range(4, request.total_tokens):
+                replay.step(request.q[i], request.k[i], request.v[i])
+            np.testing.assert_array_equal(scheduler.results[rid], replay.outputs())
+        server.close()
 
     def test_requires_block_pool(self):
         with pytest.raises(ValueError):
